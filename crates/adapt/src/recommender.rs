@@ -42,7 +42,8 @@ pub struct AdaptiveOptions {
     pub store: ProfileStoreOptions,
     /// Span tracer threaded through the whole serve-observe-update
     /// loop: each serving becomes a `serve` root span with the engine's
-    /// `cache_probe`/`measure_compute`/`mmr_boost` stages beneath it,
+    /// `cache_probe`/`measure_compute`/`profile_expand`/`mmr_boost`
+    /// stages beneath it,
     /// and the worker times its `feedback_apply` batches. Tracing
     /// observes timing only — servings are bit-identical with the
     /// tracer on or off. `None` (the default) is the zero-cost

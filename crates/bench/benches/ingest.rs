@@ -63,6 +63,12 @@ fn bench_ingest_throughput(c: &mut Criterion) {
 /// swaps fresh contexts (with pre-warm + invalidation running against
 /// a shared report cache). Readers must see only pointer-swap cost —
 /// nanoseconds, not the milliseconds an epoch rebuild takes.
+///
+/// Sampling starts only once the publisher has completed
+/// [`SWAPS_BEFORE_SAMPLING`] swaps and runs for the shim's whole time
+/// budget (one read is far too short to overlap a swap), so the readers
+/// are measured while swaps are really happening; the bench fails if
+/// none happened while they sampled.
 fn bench_swap_latency(c: &mut Criterion) {
     let world = curated_kb(120, 63);
     let store = &world.kb.store;
@@ -102,20 +108,33 @@ fn bench_swap_latency(c: &mut Criterion) {
         })
     };
 
+    while live.epoch() < SWAPS_BEFORE_SAMPLING {
+        std::thread::yield_now();
+    }
+    let before = live.epoch();
     let mut group = c.benchmark_group("swap");
-    group.sample_size(50);
+    group.sample_size(1_000_000);
     group.bench_function("reader_current_during_commits", |b| {
         b.iter(|| black_box(live.current().fingerprint()))
     });
     group.finish();
+    let during = live.epoch() - before;
     stop.store(true, Ordering::Relaxed);
     publisher.join().expect("publisher thread");
+    let swaps = live.epoch();
+    assert!(
+        swaps >= SWAPS_BEFORE_SAMPLING && during > 0,
+        "publisher completed {swaps} epoch swaps, {during} of them while readers sampled"
+    );
     println!(
-        "swap: publisher completed {} epoch swaps while readers ran; cache stats {:?}",
-        live.epoch(),
+        "swap: publisher completed {swaps} epoch swaps ({before} before sampling, {during} while \
+         readers sampled); cache stats {:?}",
         cache.stats()
     );
 }
+
+/// Epoch swaps the publisher must complete before the swap bench samples.
+const SWAPS_BEFORE_SAMPLING: u64 = 4;
 
 /// Midpoint version of a (base, head) pair, for a second distinct epoch.
 fn evorec_versioning_mid(

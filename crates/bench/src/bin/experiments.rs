@@ -1,4 +1,4 @@
-//! Regenerate the EXPERIMENTS.md tables.
+//! Print the experiment tables (markdown, to stdout).
 //!
 //! Usage:
 //! ```text

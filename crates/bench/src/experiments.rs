@@ -1,9 +1,9 @@
 //! The E1–E10 experiment suite.
 //!
-//! Each function regenerates one table/figure of EXPERIMENTS.md; the
-//! paper (a vision paper) has no tables or figures of its own, so every
-//! experiment is pinned to a sentence-level claim instead — see
-//! DESIGN.md §4 for the index. All experiments are deterministic.
+//! Each function generates one markdown table; the paper (a vision
+//! paper) has no tables or figures of its own, so every experiment is
+//! pinned to a sentence-level claim instead — the crate documentation
+//! holds the index. All experiments are deterministic.
 
 use crate::table::{f1, f3, ms, pct, Table};
 use evorec_core::{

@@ -1,8 +1,9 @@
 //! # evorec-bench — the experiment harness
 //!
-//! Regenerates every table/figure of EXPERIMENTS.md. The paper is a
-//! vision paper without an evaluation section, so each experiment
-//! operationalises a sentence-level claim (see DESIGN.md §4):
+//! Generates the experiment tables, printed as markdown by the
+//! `experiments` binary. The paper is a vision paper without an
+//! evaluation section, so each experiment operationalises a
+//! sentence-level claim:
 //!
 //! | Id | Claim | Generator |
 //! |----|-------|-----------|

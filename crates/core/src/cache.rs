@@ -22,17 +22,28 @@
 //! normalisation too. Both levels support explicit invalidation of a
 //! superseded fingerprint (the streaming layer's epoch swap) with the
 //! eviction/invalidation traffic surfaced in [`CacheStats`].
+//!
+//! Each cached [`DerivedArtefacts`] also carries the *relevance memo*:
+//! per user, the normalised expanded interest weight at every distinct
+//! focus of the pool, so a repeat request skips personalised PageRank.
+//! A row is valid only for the profile's interest stamp and the
+//! PageRank configuration it was computed under, and it lives and dies
+//! with the artefacts that index it. The number of rows is bounded
+//! across the whole cache by [`RELEVANCE_MEMO_CAPACITY`].
 
 use crate::diversity::{DistanceMatrix, DistanceWeights};
 use crate::item::Item;
-use evorec_kb::{FxHashMap, FxHasher};
+use crate::profile::{UserId, UserProfile};
+use crate::relatedness::ExpandedProfile;
+use evorec_graph::PageRankConfig;
+use evorec_kb::{FxHashMap, FxHasher, TermId};
 use evorec_measures::{
     ContextFingerprint, EvolutionContext, MeasureId, MeasureRegistry, MeasureReport,
 };
 // `sched` primitives (std delegation normally, interposable under
 // `--cfg evorec_sched`) so the lineage-counter consistency protocol is
 // checkable by the deterministic interleaving harness.
-use sched::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use sched::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use sched::sync::RwLock;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
@@ -66,6 +77,15 @@ type Shard = RwLock<ShardState>;
 /// distinct `(step, config)` pairs is plenty for any live dashboard.
 const DEFAULT_DERIVED_CAPACITY: usize = 64;
 
+/// Total relevance-memo rows retained across every [`DerivedArtefacts`]
+/// of one [`ReportCache`]. Once the cache holds this many, further
+/// misses are served uncached until artefacts drop (superseded,
+/// evicted or invalidated contexts give their rows back). A row costs
+/// 330–400 bytes at a 50-item pool, so a full memo is 1.3–1.6 MiB;
+/// with Zipf-popular users over a few windows, most lookups land on
+/// the rows admitted first.
+pub const RELEVANCE_MEMO_CAPACITY: usize = 4096;
+
 /// Everything the recommender derives from one context before any user
 /// enters the picture: the candidate item pool, the min-max-normalised
 /// reports it was drawn from, and — materialised lazily, because the
@@ -74,6 +94,9 @@ const DEFAULT_DERIVED_CAPACITY: usize = 64;
 ///
 /// Pure function of `(context fingerprint, pool size, distance
 /// configuration)`, which is exactly how [`ReportCache`] keys it.
+/// Artefacts built by a cache also carry the per-user relevance memo
+/// (see [`RELEVANCE_MEMO_CAPACITY`]); ones built with
+/// [`DerivedArtefacts::new`] alone never memoise.
 #[derive(Debug)]
 pub struct DerivedArtefacts {
     /// The candidate pool (top regions of every measure).
@@ -83,6 +106,7 @@ pub struct DerivedArtefacts {
     rank_k: usize,
     weights: DistanceWeights,
     distances: OnceLock<DistanceMatrix>,
+    memo: Option<RelevanceMemo>,
 }
 
 impl DerivedArtefacts {
@@ -100,6 +124,7 @@ impl DerivedArtefacts {
             rank_k,
             weights,
             distances: OnceLock::new(),
+            memo: None,
         }
     }
 
@@ -108,6 +133,162 @@ impl DerivedArtefacts {
         self.distances.get_or_init(|| {
             DistanceMatrix::compute(&self.items, &self.reports, self.rank_k, self.weights)
         })
+    }
+
+    /// The relevance of every pool item to `profile`, in pool order —
+    /// `item_relatedness` of the expansion `expand` returns — read from
+    /// the memo when a row for this profile's interest stamp and
+    /// `pagerank` exists, otherwise computed from `expand()` and
+    /// memoised. `None` when these artefacts carry no memo (built
+    /// outside a cache); `expand` is then not called.
+    pub(crate) fn memoised_relevance<'g>(
+        &self,
+        profile: &UserProfile,
+        pagerank: PageRankConfig,
+        expand: impl FnOnce() -> ExpandedProfile<'g>,
+    ) -> Option<Vec<f64>> {
+        let memo = self.memo.as_ref()?;
+        let key = MemoKey::new(profile, pagerank);
+        let stamp = profile.interest_stamp();
+        if let Some(relevance) = memo.lookup(&key, stamp, &self.items) {
+            return Some(relevance);
+        }
+        let expanded = expand();
+        let weights: Box<[f64]> = memo
+            .foci
+            .iter()
+            .map(|&focus| expanded.normalised_weight(focus))
+            .collect();
+        let relevance = memo.relevance(&weights, &self.items);
+        memo.insert(key, stamp, weights);
+        Some(relevance)
+    }
+}
+
+/// Key of one relevance-memo row: whose interests (the user, or `None`
+/// for every profile without interests — they all expand to zero) and
+/// the PageRank configuration, by bit pattern. A user has at most one
+/// row per configuration: a newer interest stamp overwrites the row of
+/// an older one instead of stranding it.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+struct MemoKey {
+    owner: Option<UserId>,
+    pagerank: [u64; 3],
+}
+
+impl MemoKey {
+    fn new(profile: &UserProfile, pagerank: PageRankConfig) -> MemoKey {
+        MemoKey {
+            owner: (profile.interest_stamp() != 0).then_some(profile.id),
+            pagerank: [
+                pagerank.damping.to_bits(),
+                pagerank.tolerance.to_bits(),
+                pagerank.max_iterations as u64,
+            ],
+        }
+    }
+}
+
+/// One memoised row: the interest stamp it was computed for and the
+/// normalised expanded weight at each distinct pool focus.
+#[derive(Debug)]
+struct MemoRow {
+    stamp: u64,
+    weights: Box<[f64]>,
+}
+
+/// Memo counters shared by a cache and every artefact it built: the
+/// live row count (the capacity budget) and the lookup tallies.
+#[derive(Debug, Default)]
+struct MemoCounters {
+    entries: AtomicUsize,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+/// The per-artefact relevance memo: the pool's distinct foci, each
+/// item's slot among them, and the rows.
+#[derive(Debug)]
+struct RelevanceMemo {
+    /// Distinct foci of the pool, ascending.
+    foci: Vec<TermId>,
+    /// Per pool item, the index of its focus in `foci`.
+    slots: Vec<usize>,
+    rows: RwLock<FxHashMap<MemoKey, MemoRow>>,
+    counters: Arc<MemoCounters>,
+}
+
+impl RelevanceMemo {
+    fn new(items: &[Item], counters: Arc<MemoCounters>) -> RelevanceMemo {
+        let mut foci: Vec<TermId> = items.iter().map(|it| it.focus).collect();
+        foci.sort_unstable();
+        foci.dedup();
+        // Every item's focus is in `foci`, so the search always finds it.
+        let slots = items
+            .iter()
+            .map(|it| foci.binary_search(&it.focus).unwrap_or(0))
+            .collect();
+        RelevanceMemo {
+            foci,
+            slots,
+            rows: RwLock::new(FxHashMap::default()),
+            counters,
+        }
+    }
+
+    /// Relevance from weights at the foci: the same product
+    /// `item_relatedness` forms, so bit-identical to it.
+    fn relevance(&self, weights: &[f64], items: &[Item]) -> Vec<f64> {
+        self.slots
+            .iter()
+            .zip(items)
+            .map(|(&slot, it)| weights.get(slot).copied().unwrap_or(0.0) * it.intensity)
+            .collect()
+    }
+
+    /// The memoised relevance for `key` at `stamp`, counting a hit or a
+    /// miss.
+    fn lookup(&self, key: &MemoKey, stamp: u64, items: &[Item]) -> Option<Vec<f64>> {
+        let found = self
+            .rows
+            .read()
+            .get(key)
+            .filter(|row| row.stamp == stamp)
+            .map(|row| self.relevance(&row.weights, items));
+        let counter = match found {
+            Some(_) => &self.counters.hits,
+            None => &self.counters.misses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
+    }
+
+    /// Memoise `weights` for `key` at `stamp`. A row for another stamp
+    /// is overwritten; a row for the same stamp stays (first insert
+    /// wins); a new row is added only while the cache-wide budget has
+    /// room.
+    fn insert(&self, key: MemoKey, stamp: u64, weights: Box<[f64]>) {
+        let mut rows = self.rows.write();
+        if let Some(row) = rows.get_mut(&key) {
+            if row.stamp != stamp {
+                *row = MemoRow { stamp, weights };
+            }
+            return;
+        }
+        let entries = &self.counters.entries;
+        if entries.fetch_add(1, Ordering::Relaxed) >= RELEVANCE_MEMO_CAPACITY {
+            entries.fetch_sub(1, Ordering::Relaxed);
+            return;
+        }
+        rows.insert(key, MemoRow { stamp, weights });
+    }
+}
+
+impl Drop for RelevanceMemo {
+    /// Give this memo's rows back to the cache-wide budget.
+    fn drop(&mut self) {
+        let rows = self.rows.get_mut().len();
+        self.counters.entries.fetch_sub(rows, Ordering::Relaxed);
     }
 }
 
@@ -204,6 +385,13 @@ pub struct CacheStats {
     pub derived_hits: u64,
     /// Derived-artefact lookups that had to build.
     pub derived_misses: u64,
+    /// Relevance-memo lookups answered from a memoised row.
+    pub memo_hits: u64,
+    /// Relevance-memo lookups that had to expand the profile.
+    pub memo_misses: u64,
+    /// Relevance-memo rows currently held (at most
+    /// [`RELEVANCE_MEMO_CAPACITY`]).
+    pub memo_entries: u64,
     /// Entries dropped by capacity pressure (both levels, FIFO).
     pub evictions: u64,
     /// Entries dropped by explicit fingerprint invalidation
@@ -251,6 +439,7 @@ pub struct ReportCache {
     misses: AtomicU64,
     derived_hits: AtomicU64,
     derived_misses: AtomicU64,
+    memo: Arc<MemoCounters>,
     evictions: AtomicU64,
     invalidations: AtomicU64,
 }
@@ -303,6 +492,7 @@ impl ReportCache {
             misses: AtomicU64::new(0),
             derived_hits: AtomicU64::new(0),
             derived_misses: AtomicU64::new(0),
+            memo: Arc::default(),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
         }
@@ -505,7 +695,8 @@ impl ReportCache {
     /// `registry_digest`, see [`registry_digest`]) and deriving
     /// configuration, building (and caching) them via `build` on a
     /// miss. Concurrent builders race benignly: the first insert wins
-    /// and later builders adopt it.
+    /// and later builders adopt it. Artefacts built here carry a
+    /// relevance memo drawing on this cache's row budget.
     pub fn derived_or_insert(
         &self,
         fingerprint: ContextFingerprint,
@@ -527,7 +718,9 @@ impl ReportCache {
             return Arc::clone(hit);
         }
         self.derived_misses.fetch_add(1, Ordering::Relaxed);
-        let built = Arc::new(build());
+        let mut artefacts = build();
+        artefacts.memo = Some(RelevanceMemo::new(&artefacts.items, Arc::clone(&self.memo)));
+        let built = Arc::new(artefacts);
         let mut guard = self.derived.write();
         if let Some(existing) = guard.map.get(&key) {
             return Arc::clone(existing);
@@ -624,6 +817,9 @@ impl ReportCache {
             misses: self.misses.load(Ordering::Relaxed),
             derived_hits: self.derived_hits.load(Ordering::Relaxed),
             derived_misses: self.derived_misses.load(Ordering::Relaxed),
+            memo_hits: self.memo.hits.load(Ordering::Relaxed),
+            memo_misses: self.memo.misses.load(Ordering::Relaxed),
+            memo_entries: self.memo.entries.load(Ordering::Relaxed) as u64,
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             lineages: lineages
@@ -638,12 +834,15 @@ impl ReportCache {
     }
 
     /// Zero every counter, the per-lineage ones included (lineage
-    /// registrations and claims are kept).
+    /// registrations and claims are kept, and so is the memo's row
+    /// count, which is occupancy, not a tally).
     pub fn reset_stats(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.derived_hits.store(0, Ordering::Relaxed);
         self.derived_misses.store(0, Ordering::Relaxed);
+        self.memo.hits.store(0, Ordering::Relaxed);
+        self.memo.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
         self.invalidations.store(0, Ordering::Relaxed);
         for state in self.lineages.read().iter() {
@@ -677,6 +876,14 @@ impl evorec_obs::MetricsSource for ReportCache {
             stats.derived_misses,
         ));
         out.push(evorec_obs::Sample::counter(
+            "evorec_cache_memo_hits_total",
+            stats.memo_hits,
+        ));
+        out.push(evorec_obs::Sample::counter(
+            "evorec_cache_memo_misses_total",
+            stats.memo_misses,
+        ));
+        out.push(evorec_obs::Sample::counter(
             "evorec_cache_evictions_total",
             stats.evictions,
         ));
@@ -691,6 +898,10 @@ impl evorec_obs::MetricsSource for ReportCache {
         out.push(evorec_obs::Sample::gauge(
             "evorec_cache_derived_entries",
             self.derived_len() as u64,
+        ));
+        out.push(evorec_obs::Sample::gauge(
+            "evorec_cache_memo_entries",
+            stats.memo_entries,
         ));
         for lineage in &stats.lineages {
             out.push(

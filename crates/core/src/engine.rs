@@ -3,7 +3,7 @@
 //! + batch fan-out) that answers many requests against one context.
 
 use crate::cache::{CacheStats, DerivedArtefacts, ReportCache};
-use crate::diversity::{select_mmr, swap_refine, DistanceMatrix, DistanceWeights};
+use crate::diversity::{select_mmr, swap_refine, DistanceWeights};
 use crate::fairness::{
     fairness_report, select_for_group, FairnessReport, GroupAggregation, RelevanceMatrix,
 };
@@ -250,19 +250,42 @@ impl Recommender {
         (items, reports)
     }
 
-    /// Per-candidate `(relevance, novelty, effective)` scores of one
-    /// profile over an item pool.
-    fn score_items(
+    /// The relevance of every pool item to `profile`, in pool order.
+    /// Artefacts from the cache carry a relevance memo, so cached
+    /// recommenders expand the profile only on a memo miss; uncached
+    /// ones always expand. A `profile_expand` span under `parent`
+    /// brackets each expansion.
+    fn relevance(
         &self,
         ctx: &EvolutionContext,
         profile: &UserProfile,
-        items: &[Item],
-    ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let expanded = ExpandedProfile::expand(profile, &ctx.graph_union, self.config.pagerank);
-        let relevance: Vec<f64> = items
+        derived: &DerivedArtefacts,
+        tracer: Option<&Tracer>,
+        parent: SpanHandle,
+    ) -> Vec<f64> {
+        let expand = || {
+            let _expand = span(tracer, "profile_expand", parent);
+            ExpandedProfile::expand(profile, &ctx.graph_union, self.config.pagerank)
+        };
+        if let Some(relevance) = derived.memoised_relevance(profile, self.config.pagerank, expand) {
+            return relevance;
+        }
+        let expanded = expand();
+        derived
+            .items
             .iter()
             .map(|it| item_relatedness(&expanded, it))
-            .collect();
+            .collect()
+    }
+
+    /// Per-candidate `(novelty, effective)` scores of one profile over
+    /// an item pool, given its relevance.
+    fn score_items(
+        &self,
+        profile: &UserProfile,
+        items: &[Item],
+        relevance: &[f64],
+    ) -> (Vec<f64>, Vec<f64>) {
         let novelty: Vec<f64> = items
             .iter()
             .map(|it| {
@@ -279,20 +302,27 @@ impl Recommender {
             .zip(&novelty)
             .map(|(r, n)| r * (1.0 - w + w * n))
             .collect();
-        (relevance, novelty, effective)
+        (novelty, effective)
     }
 
     /// The per-user tail of the pipeline: score the shared pool for one
     /// profile and run MMR + swap refinement over the shared distances.
+    /// `mmr_boost` brackets the selection; the profile's expansion (on
+    /// a memo miss) is timed apart as `profile_expand`.
     fn select_for_profile(
         &self,
         ctx: &EvolutionContext,
         profile: &UserProfile,
-        items: &[Item],
-        distances: &DistanceMatrix,
+        derived: &DerivedArtefacts,
         boost: Option<&dyn ScoreBoost>,
+        tracer: Option<&Tracer>,
+        parent: SpanHandle,
     ) -> Recommendation {
-        let (relevance, novelty, mut effective) = self.score_items(ctx, profile, items);
+        let items = &derived.items;
+        let relevance = self.relevance(ctx, profile, derived, tracer, parent);
+        let mmr = span(tracer, "mmr_boost", parent);
+        let distances = derived.distances();
+        let (novelty, mut effective) = self.score_items(profile, items, &relevance);
         if let Some(boost) = boost {
             for (item, score) in items.iter().zip(effective.iter_mut()) {
                 *score = boost.boost(item, *score);
@@ -324,6 +354,7 @@ impl Recommender {
                 objective: effective[i],
             })
             .collect();
+        mmr.finish();
         Recommendation {
             items: scored,
             candidates_considered: items.len(),
@@ -351,7 +382,8 @@ impl Recommender {
 
     /// [`recommend_with_boost`](Recommender::recommend_with_boost) with
     /// span instrumentation: children `cache_probe`, `measure_compute`
-    /// (cold only), and `mmr_boost` are opened under `parent`. Tracing
+    /// (cold only), `profile_expand` (relevance-memo miss only) and
+    /// `mmr_boost` are opened under `parent`. Tracing
     /// observes timing only — the scoring path is byte-for-byte the
     /// untraced one, so serving output is bit-identical with the tracer
     /// on, off, or absent.
@@ -371,11 +403,7 @@ impl Recommender {
                 cache_stats: self.cache_snapshot(),
             };
         }
-        let mmr = span(tracer, "mmr_boost", parent);
-        let recommendation =
-            self.select_for_profile(ctx, profile, &derived.items, derived.distances(), boost);
-        mmr.finish();
-        recommendation
+        self.select_for_profile(ctx, profile, &derived, boost, tracer, parent)
     }
 
     /// Answer many profiles against one context: the candidate pool and
@@ -474,7 +502,7 @@ impl Recommender {
                 cache_stats: self.cache_snapshot(),
             };
         }
-        let rows = self.effective_rows(ctx, profiles, items, threads);
+        let rows = self.effective_rows(ctx, profiles, &derived, threads);
         let matrix = RelevanceMatrix::new(rows);
         let selection = select_for_group(&matrix, self.config.top_k, self.config.group_aggregation);
         let fairness = fairness_report(&matrix, &selection);
@@ -508,11 +536,12 @@ impl Recommender {
         &self,
         ctx: &EvolutionContext,
         profiles: &[UserProfile],
-        items: &[Item],
+        derived: &DerivedArtefacts,
         threads: usize,
     ) -> Vec<Vec<f64>> {
         fan_out(profiles, threads, |profile| {
-            self.score_items(ctx, profile, items).2
+            let relevance = self.relevance(ctx, profile, derived, None, SpanHandle::NONE);
+            self.score_items(profile, &derived.items, &relevance).1
         })
     }
 }
@@ -563,8 +592,9 @@ fn default_worker_threads() -> usize {
 /// Amortised many-users-one-context serving: the candidate pool,
 /// normalised reports and pairwise distance matrix are computed once
 /// (through the report cache when the underlying [`Recommender`] has
-/// one), and only the cheap per-user work — profile expansion, scoring,
-/// MMR + swap refinement — fans out across scoped worker threads.
+/// one), and only the cheap per-user work — profile expansion (or its
+/// relevance-memo row), scoring, MMR + swap refinement — fans out
+/// across scoped worker threads.
 ///
 /// Obtained from [`Recommender::batch`]; answers arrive in profile
 /// order, and each equals what [`Recommender::recommend`] would have
@@ -607,9 +637,10 @@ impl BatchRecommender<'_> {
                 })
                 .collect();
         }
-        let distances = derived.distances();
+        // Materialise the shared distances before fanning out.
+        derived.distances();
         fan_out(profiles, self.threads, |p| {
-            r.select_for_profile(ctx, p, &derived.items, distances, None)
+            r.select_for_profile(ctx, p, &derived, None, None, SpanHandle::NONE)
         })
     }
 

@@ -9,6 +9,11 @@
 use evorec_kb::{FxHashMap, FxHashSet, TermId};
 use evorec_measures::MeasureId;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Source of interest stamps, shared by every profile in the process.
+/// Starts at 1: stamp 0 is reserved for "no interests".
+static NEXT_INTEREST_STAMP: AtomicU64 = AtomicU64::new(1);
 
 /// Identifier of a human in the loop.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
@@ -37,6 +42,13 @@ pub struct UserProfile {
     /// Display name.
     pub name: String,
     interests: FxHashMap<TermId, f64>,
+    /// Identity of the current interest map: 0 when it is empty,
+    /// otherwise a value drawn fresh from [`NEXT_INTEREST_STAMP`] by the
+    /// mutation that produced it. A clone keeps its stamp, so two
+    /// profiles with equal stamps have identical interests — the key of
+    /// the relevance memo (see `DerivedArtefacts`).
+    #[serde(skip)]
+    interest_stamp: u64,
     #[serde(skip)]
     seen: FxHashSet<SeenItem>,
     /// `true` if this user's change feed must only ever be disclosed
@@ -51,6 +63,7 @@ impl UserProfile {
             id,
             name: name.into(),
             interests: FxHashMap::default(),
+            interest_stamp: 0,
             seen: FxHashSet::default(),
             sensitive: false,
         }
@@ -78,6 +91,11 @@ impl UserProfile {
         } else {
             self.interests.insert(term, weight);
         }
+        self.interest_stamp = if self.interests.is_empty() {
+            0
+        } else {
+            NEXT_INTEREST_STAMP.fetch_add(1, Ordering::Relaxed)
+        };
     }
 
     /// Additively adjust the interest in `term` (result clamped to ≥ 0).
@@ -89,6 +107,15 @@ impl UserProfile {
     /// The interest weight of `term` (0 when absent).
     pub fn interest(&self, term: TermId) -> f64 {
         self.interests.get(&term).copied().unwrap_or(0.0)
+    }
+
+    /// The stamp of the current interests: equal stamps imply identical
+    /// interests (0 means none). Every interest mutation — including
+    /// [`with_interest`](UserProfile::with_interest) and
+    /// [`nudge_interest`](UserProfile::nudge_interest), which go through
+    /// [`set_interest`](UserProfile::set_interest) — draws a fresh one.
+    pub fn interest_stamp(&self) -> u64 {
+        self.interest_stamp
     }
 
     /// All `(term, weight)` interests, unordered.

@@ -28,17 +28,38 @@ pub fn expansion_config() -> PageRankConfig {
 }
 
 /// A user's interest weights expanded over a class graph.
+///
+/// Holds the PageRank vector as computed — indexed by the graph's nodes
+/// — and resolves a term through the graph's node index on lookup, so
+/// an expansion costs the PageRank iteration and nothing more: callers
+/// read only a handful of foci out of it.
 #[derive(Clone, Debug)]
-pub struct ExpandedProfile {
-    weights: FxHashMap<TermId, f64>,
+pub struct ExpandedProfile<'g> {
+    weights: Weights<'g>,
     max_weight: f64,
 }
 
-impl ExpandedProfile {
+/// Where an [`ExpandedProfile`]'s weights live.
+#[derive(Clone, Debug)]
+enum Weights<'g> {
+    /// Personalised PageRank over `graph`, one entry per node.
+    Ranked {
+        graph: &'g SchemaGraph,
+        rank: Vec<f64>,
+    },
+    /// No interest lands on the graph: the raw interests.
+    Raw(FxHashMap<TermId, f64>),
+}
+
+impl<'g> ExpandedProfile<'g> {
     /// Expand `profile` over `graph` by personalised PageRank seeded with
     /// the profile's interests. Falls back to the raw interests when the
     /// profile has no seed overlapping the graph.
-    pub fn expand(profile: &UserProfile, graph: &SchemaGraph, config: PageRankConfig) -> Self {
+    pub fn expand(
+        profile: &UserProfile,
+        graph: &'g SchemaGraph,
+        config: PageRankConfig,
+    ) -> ExpandedProfile<'g> {
         let mut seeds: Vec<(u32, f64)> = profile
             .interests()
             .filter_map(|(term, w)| graph.node_of(term).map(|node| (node, w)))
@@ -50,29 +71,27 @@ impl ExpandedProfile {
             let weights: FxHashMap<TermId, f64> = profile.interests().collect();
             let max_weight = weights.values().copied().fold(0.0, f64::max);
             return ExpandedProfile {
-                weights,
+                weights: Weights::Raw(weights),
                 max_weight,
             };
         }
         let rank = personalised_pagerank(graph, &seeds, config);
-        let mut weights = FxHashMap::default();
-        let mut max_weight = 0.0f64;
-        for (node, &score) in rank.iter().enumerate() {
-            if score > 0.0 {
-                let term = graph.term(node as u32);
-                weights.insert(term, score);
-                max_weight = max_weight.max(score);
-            }
-        }
+        let max_weight = rank.iter().copied().fold(0.0, f64::max);
         ExpandedProfile {
-            weights,
+            weights: Weights::Ranked { graph, rank },
             max_weight,
         }
     }
 
     /// Raw expanded weight of `term`.
     pub fn weight(&self, term: TermId) -> f64 {
-        self.weights.get(&term).copied().unwrap_or(0.0)
+        match &self.weights {
+            Weights::Ranked { graph, rank } => graph
+                .node_of(term)
+                .and_then(|node| rank.get(node as usize).copied())
+                .unwrap_or(0.0),
+            Weights::Raw(weights) => weights.get(&term).copied().unwrap_or(0.0),
+        }
     }
 
     /// Expanded weight normalised by the maximum (in [0, 1]).
@@ -86,7 +105,10 @@ impl ExpandedProfile {
 
     /// Number of terms with positive expanded weight.
     pub fn support(&self) -> usize {
-        self.weights.len()
+        match &self.weights {
+            Weights::Ranked { rank, .. } => rank.iter().filter(|&&w| w > 0.0).count(),
+            Weights::Raw(weights) => weights.len(),
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! default build the same closures run once as concurrency smoke
 //! tests.
 
-use evorec_core::ReportCache;
+use evorec_core::{Recommender, RecommenderConfig, ReportCache, UserId, UserProfile};
 use evorec_kb::{Triple, TripleStore};
 use evorec_measures::{EvolutionContext, MeasureRegistry};
 use evorec_versioning::VersionedStore;
@@ -149,6 +149,63 @@ fn snapshot_never_tears_a_lineage_publish() {
         let end = cache.stats();
         assert_eq!(end.invalidations, 1);
         assert_eq!(end.lineages[0].invalidations, 1);
+    });
+    assert!(report_handle.schedules >= 1);
+    if cfg!(evorec_sched) {
+        assert!(report_handle.schedules > 1);
+    }
+}
+
+/// Two servings of one user racing on a cold relevance memo: both
+/// expand, the first insert wins, the loser adopts it — one row, one
+/// budget slot, and both answers bit-identical.
+#[test]
+fn concurrent_memo_misses_keep_one_row() {
+    let (ctx, _) = world();
+    let registry = MeasureRegistry::standard();
+    let fingerprint = ctx.fingerprint();
+    let reports: Vec<_> = registry.all().iter().map(|m| m.compute(&ctx)).collect();
+    let focus = ctx.graph_union.terms()[0];
+    let ctx = Arc::new(ctx);
+
+    let builder = bounded();
+    let report_handle = builder.explore(move || {
+        let cache = Arc::new(ReportCache::with_shards_and_capacity(1, 64));
+        for report in &reports {
+            cache.insert(fingerprint, report.clone());
+        }
+        let recommender = Arc::new(Recommender::with_cache(
+            MeasureRegistry::standard(),
+            RecommenderConfig::default(),
+            Arc::clone(&cache),
+        ));
+        // Build the pool before the race; only the memo is contended.
+        let _ = recommender.recommend(&ctx, &UserProfile::new(UserId(0), "blank"));
+        let profile = Arc::new(UserProfile::new(UserId(1), "u").with_interest(focus, 1.0));
+        let servers: Vec<_> = (0..2)
+            .map(|_| {
+                let (recommender, ctx, profile) = (
+                    Arc::clone(&recommender),
+                    Arc::clone(&ctx),
+                    Arc::clone(&profile),
+                );
+                sched::thread::spawn(move || {
+                    let rec = recommender.recommend(&ctx, &profile);
+                    rec.items
+                        .iter()
+                        .map(|s| (s.item.focus, s.relevance.to_bits(), s.objective.to_bits()))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let answers: Vec<_> = servers.into_iter().map(|s| s.join().unwrap()).collect();
+        assert_eq!(answers[0], answers[1]);
+        let stats = cache.stats();
+        assert_eq!(
+            stats.memo_entries, 2,
+            "the blank row and one row for the user"
+        );
+        assert_eq!(stats.memo_hits + stats.memo_misses, 3);
     });
     assert!(report_handle.schedules >= 1);
     if cfg!(evorec_sched) {

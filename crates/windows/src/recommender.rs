@@ -129,7 +129,8 @@ impl WindowedRecommender {
 
     /// [`recommend_with_boost`](WindowedRecommender::recommend_with_boost)
     /// with span context: the engine times its `cache_probe`,
-    /// `measure_compute` and `mmr_boost` stages under `parent`. Tracing
+    /// `measure_compute`, `profile_expand` and `mmr_boost` stages under
+    /// `parent`. Tracing
     /// observes timing only — the served recommendation is bit-identical
     /// with the tracer on or off.
     pub fn recommend_observed(
