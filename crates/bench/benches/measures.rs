@@ -1,9 +1,11 @@
 //! Criterion micro-benchmarks for the §II measure catalogue (E2's
 //! per-measure cost, measured precisely).
 //!
-//! Contexts are rebuilt per iteration batch so the memoised centrality
-//! caches inside `EvolutionContext` cannot leak work across samples of
-//! the structural measures.
+//! The compute benches build a fresh store (same deterministic history)
+//! per sample in the untimed setup: the store memoises each version's
+//! class graph and centralities, so a shared store would serve every
+//! sample after the first from the memo and the structural measures
+//! would stop paying the Brandes run a new version pays.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use evorec_measures::{EvolutionContext, MeasureRegistry};
@@ -30,16 +32,20 @@ fn evolved(classes: usize) -> GeneratedKb {
     kb
 }
 
-fn bench_each_measure(c: &mut Criterion) {
+/// A context over a freshly generated store, so nothing is memoised.
+fn fresh_context() -> EvolutionContext {
     let kb = evolved(300);
-    let head = kb.store.head().unwrap();
+    EvolutionContext::build(&kb.store, kb.base_version, kb.store.head().unwrap())
+}
+
+fn bench_each_measure(c: &mut Criterion) {
     let registry = MeasureRegistry::standard();
     let mut group = c.benchmark_group("measure");
     group.sample_size(10);
     for measure in registry.all() {
         group.bench_function(measure.id().as_str(), |b| {
             b.iter_batched(
-                || EvolutionContext::build(&kb.store, kb.base_version, head),
+                fresh_context,
                 |ctx| black_box(measure.compute(&ctx)),
                 BatchSize::PerIteration,
             )
@@ -56,11 +62,14 @@ fn bench_catalogue(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("compute_all_300c", |b| {
         b.iter_batched(
-            || EvolutionContext::build(&kb.store, kb.base_version, head),
+            fresh_context,
             |ctx| black_box(registry.compute_all(&ctx)),
             BatchSize::PerIteration,
         )
     });
+    // Rebuilding over versions the store already knows: the window
+    // publish path, where only the change set, union graph and digest
+    // are built per context.
     group.bench_function("context_build_300c", |b| {
         b.iter(|| black_box(EvolutionContext::build(&kb.store, kb.base_version, head)))
     });

@@ -5,10 +5,15 @@
 //! by composing per-epoch deltas (`invert`/`compose` over the epoch
 //! ring plus one normalisation against the `from` snapshot) — the
 //! store's `delta_computations` counter, printed after the benches,
-//! stays flat across thousands of advances because no window ever
-//! re-diffs two snapshots.
+//! stays flat across a whole replay because no window ever re-diffs two
+//! snapshots.
+//!
+//! Every sample replays into a freshly built store (untimed setup): the
+//! store memoises each version's class graph and centralities, so a
+//! store shared across samples would serve every sample after the first
+//! from the memo instead of paying what new versions pay.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use evorec_stream::{EpochCommit, IngestorConfig};
 use evorec_synth::workload::curated_kb;
 use evorec_synth::workload::streamed::committed_epochs;
@@ -57,30 +62,48 @@ fn four_windows() -> Vec<WindowDef> {
 /// four-window manager; per-epoch cost is the reported time divided by
 /// the epoch count in the bench id.
 fn bench_window_advance(c: &mut Criterion) {
-    let (store, commits, seed_head) = commit_stream(16);
+    let epochs = commit_stream(16).1.len();
     let mut group = c.benchmark_group("windows");
     group.sample_size(10);
-    group.bench_function(format!("advance_4w_{}epochs", commits.len()), |b| {
-        b.iter(|| {
-            let manager = manager_at_seed(&store, seed_head, four_windows());
-            for commit in &commits {
-                manager.advance(&store, commit);
-            }
-            black_box(manager.stats().publishes)
-        })
+    group.bench_function(format!("advance_4w_{epochs}epochs"), |b| {
+        b.iter_batched(
+            || commit_stream(16),
+            |(store, commits, seed_head)| {
+                black_box(replay(&store, &commits, seed_head, four_windows()))
+            },
+            BatchSize::PerIteration,
+        )
     });
     group.finish();
+    let (store, commits, seed_head) = commit_stream(16);
+    let before = store.delta_computations();
+    replay(&store, &commits, seed_head, four_windows());
     println!(
-        "windows: {} snapshot diffs total after every advance iteration \
+        "windows: {} snapshot diffs during a full {epochs}-epoch four-window replay \
          (sliding/landmark advances run purely on delta composition)",
-        store.delta_computations()
+        store.delta_computations() - before
     );
+}
+
+/// Replay `commits` through a fresh manager over `defs`; returns the
+/// publish count.
+fn replay(
+    store: &VersionedStore,
+    commits: &[EpochCommit],
+    seed_head: VersionId,
+    defs: Vec<WindowDef>,
+) -> u64 {
+    let manager = manager_at_seed(store, seed_head, defs);
+    for commit in commits {
+        manager.advance(store, commit);
+    }
+    manager.stats().publishes
 }
 
 /// Fan-out throughput: the same epoch stream feeding 1, 4, and 8
 /// concurrent windows of mixed horizon.
 fn bench_window_fanout(c: &mut Criterion) {
-    let (store, commits, seed_head) = commit_stream(16);
+    let epochs = commit_stream(16).1.len();
     let mut group = c.benchmark_group("windows");
     group.sample_size(10);
     for k in [1usize, 4, 8] {
@@ -95,14 +118,14 @@ fn bench_window_fanout(c: &mut Criterion) {
                 WindowDef::new(format!("w{i}"), spec)
             })
             .collect();
-        group.bench_function(format!("fanout_{k}w_{}epochs", commits.len()), |b| {
-            b.iter(|| {
-                let manager = manager_at_seed(&store, seed_head, defs.clone());
-                for commit in &commits {
-                    manager.advance(&store, commit);
-                }
-                black_box(manager.stats().publishes)
-            })
+        group.bench_function(format!("fanout_{k}w_{epochs}epochs"), |b| {
+            b.iter_batched(
+                || commit_stream(16),
+                |(store, commits, seed_head)| {
+                    black_box(replay(&store, &commits, seed_head, defs.clone()))
+                },
+                BatchSize::PerIteration,
+            )
         });
     }
     group.finish();

@@ -84,16 +84,17 @@ pub fn e2() -> Table {
         &["classes", "measure", "time", "scored"],
     );
     for classes in [200usize, 400, 800, 1600, 3200] {
-        let (kb, _) = hotspot_kb(classes, 2000 + classes as u64);
-        let head = kb.store.head().unwrap();
         for measure_id in [
             "class-change-count",
             "neighbourhood-change-count-r1",
             "betweenness-shift",
             "relevance-shift",
         ] {
-            // Fresh context per timing so memoised centralities do not
-            // leak work between measures.
+            // Fresh store (same deterministic history) per timing: the
+            // store memoises each version's centralities, so a shared
+            // one would leak work between measures.
+            let (kb, _) = hotspot_kb(classes, 2000 + classes as u64);
+            let head = kb.store.head().unwrap();
             let ctx = EvolutionContext::build(&kb.store, kb.base_version, head);
             let registry = MeasureRegistry::standard();
             let measure = registry

@@ -1,10 +1,10 @@
 //! Shared evaluation context for one evolution step.
 
-use evorec_graph::{betweenness, bridging_centrality_with, SchemaGraph};
+use evorec_graph::SchemaGraph;
 use evorec_kb::{FxHasher, SchemaView, TermId};
-use evorec_versioning::{ChangeSet, LowLevelDelta, VersionId, VersionedStore};
+use evorec_versioning::{ChangeSet, ClassStructure, LowLevelDelta, VersionId, VersionedStore};
 use std::hash::Hasher;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A stable identity for one evolution step: the version pair plus a
 /// digest of the delta and the union class graph.
@@ -36,11 +36,14 @@ impl std::fmt::Display for ContextFingerprint {
 /// Everything a measure needs about one evolution step V_from → V_to,
 /// built once and shared.
 ///
-/// Measures are pure functions of this context; the expensive artefacts
-/// (delta, schema views, class graphs, centrality vectors) are either
-/// built eagerly once or memoised lazily behind [`OnceLock`]s, so
-/// evaluating the full measure registry costs each substrate exactly
-/// once.
+/// Measures are pure functions of this context. The expensive artefacts
+/// come from the store's memos: the delta per version pair, and per
+/// version the schema view and the [`ClassStructure`] (class graph plus
+/// betweenness and bridging vectors, filled on first use). Every
+/// context over a version therefore shares that version's graph and
+/// runs Brandes on it at most once per store, however many windows,
+/// epochs or threads build contexts over it. Only the change set and
+/// the union graph are built per context.
 pub struct EvolutionContext {
     /// The earlier version.
     pub from: VersionId,
@@ -62,10 +65,8 @@ pub struct EvolutionContext {
     /// adjacencies — the N_{V1,V2} universe of the paper's §II(b).
     pub graph_union: Arc<SchemaGraph>,
     fingerprint: ContextFingerprint,
-    betweenness_before: OnceLock<Arc<Vec<f64>>>,
-    betweenness_after: OnceLock<Arc<Vec<f64>>>,
-    bridging_before: OnceLock<Arc<Vec<f64>>>,
-    bridging_after: OnceLock<Arc<Vec<f64>>>,
+    structure_before: Arc<ClassStructure>,
+    structure_after: Arc<ClassStructure>,
 }
 
 impl EvolutionContext {
@@ -78,8 +79,8 @@ impl EvolutionContext {
         let before = store.schema_view(from);
         let after = store.schema_view(to);
         let changes = Arc::new(ChangeSet::detect(&delta, &before, &after, store.vocab()));
-        let graph_before = Arc::new(SchemaGraph::from_schema_view(&before));
-        let graph_after = Arc::new(SchemaGraph::from_schema_view(&after));
+        let structure_before = store.class_structure(from);
+        let structure_after = store.class_structure(to);
         let graph_union = Arc::new(union_graph(&before, &after));
         let fingerprint = ContextFingerprint {
             from,
@@ -98,47 +99,37 @@ impl EvolutionContext {
             before,
             after,
             changes,
-            graph_before,
-            graph_after,
+            graph_before: Arc::clone(structure_before.graph()),
+            graph_after: Arc::clone(structure_after.graph()),
             graph_union,
             fingerprint,
-            betweenness_before: OnceLock::new(),
-            betweenness_after: OnceLock::new(),
-            bridging_before: OnceLock::new(),
-            bridging_after: OnceLock::new(),
+            structure_before,
+            structure_after,
         }
     }
 
-    /// Betweenness of the earlier class graph (memoised).
+    /// Betweenness of the earlier class graph (memoised per version in
+    /// the store).
     pub fn betweenness_before(&self) -> &Arc<Vec<f64>> {
-        self.betweenness_before
-            .get_or_init(|| Arc::new(betweenness(&self.graph_before)))
+        self.structure_before.betweenness()
     }
 
-    /// Betweenness of the later class graph (memoised).
+    /// Betweenness of the later class graph (memoised per version in
+    /// the store).
     pub fn betweenness_after(&self) -> &Arc<Vec<f64>> {
-        self.betweenness_after
-            .get_or_init(|| Arc::new(betweenness(&self.graph_after)))
+        self.structure_after.betweenness()
     }
 
-    /// Bridging centrality of the earlier class graph (memoised).
+    /// Bridging centrality of the earlier class graph (memoised per
+    /// version in the store).
     pub fn bridging_before(&self) -> &Arc<Vec<f64>> {
-        self.bridging_before.get_or_init(|| {
-            Arc::new(bridging_centrality_with(
-                &self.graph_before,
-                self.betweenness_before(),
-            ))
-        })
+        self.structure_before.bridging()
     }
 
-    /// Bridging centrality of the later class graph (memoised).
+    /// Bridging centrality of the later class graph (memoised per
+    /// version in the store).
     pub fn bridging_after(&self) -> &Arc<Vec<f64>> {
-        self.bridging_after.get_or_init(|| {
-            Arc::new(bridging_centrality_with(
-                &self.graph_after,
-                self.betweenness_after(),
-            ))
-        })
+        self.structure_after.bridging()
     }
 
     /// Stable identity of this evolution step (version pair + content
@@ -263,6 +254,7 @@ impl std::fmt::Debug for EvolutionContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use evorec_graph::{betweenness, bridging_centrality_with};
     use evorec_kb::{TripleStore, Triple};
 
     /// Two-version store: V0 has A⊑B; V1 adds C⊑B and an instance edge.
@@ -318,6 +310,109 @@ mod tests {
         let br2 = Arc::clone(ctx.bridging_before());
         assert!(Arc::ptr_eq(&br1, &br2));
         assert_eq!(b1.len(), ctx.graph_after.node_count());
+    }
+
+    /// Three-version store: V0 has A⊑B, V1 adds C⊑B, V2 adds D⊑C.
+    fn three_versions() -> (VersionedStore, [VersionId; 3]) {
+        let (mut vs, v0, v1, [_, _, c]) = store();
+        let d = vs.intern_iri("http://x/D");
+        let v = *vs.vocab();
+        let mut s2 = vs.snapshot(v1).clone();
+        s2.insert(Triple::new(d, v.rdfs_subclassof, c));
+        let v2 = vs.commit_snapshot("v2", s2);
+        (vs, [v0, v1, v2])
+    }
+
+    /// Every shared version's graph and centralities, as each context
+    /// exposes them: `(version, graph, betweenness, bridging)`.
+    type Exposed = (VersionId, Arc<SchemaGraph>, Arc<Vec<f64>>, Arc<Vec<f64>>);
+
+    fn exposed(ctx: &EvolutionContext) -> [Exposed; 2] {
+        [
+            (
+                ctx.from,
+                Arc::clone(&ctx.graph_before),
+                Arc::clone(ctx.betweenness_before()),
+                Arc::clone(ctx.bridging_before()),
+            ),
+            (
+                ctx.to,
+                Arc::clone(&ctx.graph_after),
+                Arc::clone(ctx.betweenness_after()),
+                Arc::clone(ctx.bridging_after()),
+            ),
+        ]
+    }
+
+    /// Assert every exposure of a version is pointer-equal to the first.
+    fn assert_one_per_version(all: impl IntoIterator<Item = Exposed>) {
+        let mut first: Vec<Exposed> = Vec::new();
+        for item in all {
+            match first.iter().find(|seen| seen.0 == item.0) {
+                Some(seen) => {
+                    assert!(Arc::ptr_eq(&seen.1, &item.1), "{}: graph", item.0);
+                    assert!(Arc::ptr_eq(&seen.2, &item.2), "{}: betweenness", item.0);
+                    assert!(Arc::ptr_eq(&seen.3, &item.3), "{}: bridging", item.0);
+                }
+                None => first.push(item),
+            }
+        }
+    }
+
+    #[test]
+    fn contexts_share_each_versions_structure() {
+        let (vs, [v0, v1, v2]) = three_versions();
+        let steps = [(v0, v1), (v0, v2), (v1, v2), (v2, v0)];
+        let contexts: Vec<EvolutionContext> = steps
+            .iter()
+            .map(|&(from, to)| EvolutionContext::build(&vs, from, to))
+            .collect();
+        assert_one_per_version(contexts.iter().flat_map(exposed));
+        // The slots are the store's: a later build reads them too.
+        assert!(Arc::ptr_eq(
+            contexts[0].betweenness_after(),
+            vs.class_structure(v1).betweenness()
+        ));
+        // And they hold what the algorithms compute on each graph.
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for ctx in &contexts {
+            let fresh = betweenness(&ctx.graph_after);
+            assert_eq!(bits(ctx.betweenness_after()), bits(&fresh));
+            let bridging = bridging_centrality_with(&ctx.graph_after, &fresh);
+            assert_eq!(bits(ctx.bridging_after()), bits(&bridging));
+        }
+    }
+
+    #[test]
+    fn concurrent_builds_share_one_vector_per_version() {
+        let (vs, [v0, v1, v2]) = three_versions();
+        let steps = [(v0, v1), (v0, v2), (v1, v2), (v2, v1)];
+        let threads = 4;
+        let start = std::sync::Barrier::new(threads);
+        let seen: Vec<Exposed> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (vs, start) = (&vs, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        // Each thread walks the steps from a different
+                        // offset, so first touches of a version race.
+                        (0..steps.len())
+                            .flat_map(|i| {
+                                let (from, to) = steps[(i + t) % steps.len()];
+                                exposed(&EvolutionContext::build(vs, from, to))
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("builder thread"))
+                .collect()
+        });
+        assert_eq!(seen.len(), threads * steps.len() * 2);
+        assert_one_per_version(seen);
     }
 
     #[test]

@@ -214,7 +214,8 @@ impl MeasureRegistry {
 }
 
 /// Union-graph node count below which [`MeasureRegistry::compute_all`]
-/// stays serial (matches the threshold of `betweenness_parallel`).
+/// stays serial: on smaller graphs a heavy measure finishes faster than
+/// a worker thread spawns.
 const PARALLEL_NODE_THRESHOLD: usize = 64;
 
 impl std::fmt::Debug for MeasureRegistry {

@@ -56,6 +56,15 @@ pub struct Population {
 pub fn generate_population(kb: &GeneratedKb, config: PopulationConfig) -> Population {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let topic_pick = Zipf::new(kb.classes.len(), config.topic_zipf);
+    // Children of every class, ascending (as `GeneratedKb::children_of`
+    // lists them), indexed once instead of scanning `class_parent` per
+    // frontier class.
+    let mut children: Vec<Vec<usize>> = vec![Vec::new(); kb.classes.len()];
+    for (class, parent) in kb.class_parent.iter().enumerate() {
+        if let Some(parent) = *parent {
+            children[parent].push(class);
+        }
+    }
     let mut profiles = Vec::with_capacity(config.users);
     let mut topics = Vec::with_capacity(config.users);
     for u in 0..config.users {
@@ -81,7 +90,7 @@ pub fn generate_population(kb: &GeneratedKb, config: PopulationConfig) -> Popula
                         next.push(parent);
                     }
                 }
-                for child in kb.children_of(class) {
+                for &child in &children[class] {
                     if !visited.contains(&child) {
                         visited.push(child);
                         next.push(child);
@@ -298,6 +307,87 @@ mod tests {
         for feed in &feeds {
             assert!(feed.total_mass() > 0.0);
             assert!(feed.mass_per_class.len() <= 5);
+        }
+    }
+
+    /// The generator as it was before the children index: one
+    /// `children_of` scan per frontier class.
+    fn reference_population(kb: &GeneratedKb, config: PopulationConfig) -> Population {
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let topic_pick = Zipf::new(kb.classes.len(), config.topic_zipf);
+        let mut profiles = Vec::with_capacity(config.users);
+        let mut topics = Vec::with_capacity(config.users);
+        for u in 0..config.users {
+            let topic = topic_pick.sample(&mut rng);
+            topics.push(topic);
+            let mut profile = UserProfile::new(UserId(u as u32), format!("user-{u}"));
+            if rng.gen_bool(config.sensitive_fraction.clamp(0.0, 1.0)) {
+                profile.sensitive = true;
+            }
+            let mut frontier = vec![topic];
+            let mut weight = 1.0;
+            let mut visited = vec![topic];
+            for _hop in 0..=config.spread_radius {
+                for &class in &frontier {
+                    profile.nudge_interest(kb.classes[class], weight);
+                }
+                let mut next = Vec::new();
+                for &class in &frontier {
+                    if let Some(parent) = kb.class_parent[class] {
+                        if !visited.contains(&parent) {
+                            visited.push(parent);
+                            next.push(parent);
+                        }
+                    }
+                    for child in kb.children_of(class) {
+                        if !visited.contains(&child) {
+                            visited.push(child);
+                            next.push(child);
+                        }
+                    }
+                }
+                frontier = next;
+                weight *= config.spread_decay;
+                if frontier.is_empty() {
+                    break;
+                }
+            }
+            profiles.push(profile);
+        }
+        Population { profiles, topics }
+    }
+
+    fn interest_bits(profile: &UserProfile) -> Vec<(evorec_kb::TermId, u64)> {
+        let mut out: Vec<_> = profile.interests().map(|(t, w)| (t, w.to_bits())).collect();
+        out.sort_unstable();
+        out
+    }
+
+    #[test]
+    fn children_index_matches_children_of_scan() {
+        for (classes, users, seed) in [(25, 40, 5), (120, 200, 17), (400, 300, 61), (1, 5, 3)] {
+            let kb = GeneratedKb::generate(SchemaConfig {
+                classes,
+                properties: 4,
+                instances: classes * 2,
+                instance_zipf: 1.0,
+                links_per_instance: 1.0,
+                seed,
+            });
+            let config = PopulationConfig {
+                users,
+                spread_radius: 3,
+                sensitive_fraction: 0.3,
+                seed: seed ^ 0x5eed,
+                ..Default::default()
+            };
+            let got = generate_population(&kb, config);
+            let want = reference_population(&kb, config);
+            assert_eq!(got.topics, want.topics, "{classes} classes, seed {seed}");
+            for (g, w) in got.profiles.iter().zip(&want.profiles) {
+                assert_eq!((g.id, &g.name, g.sensitive), (w.id, &w.name, w.sensitive));
+                assert_eq!(interest_bits(g), interest_bits(w), "user {:?}", g.id);
+            }
         }
     }
 

@@ -4,7 +4,9 @@
 //! (ICDE'17 reproduction). Provides:
 //!
 //! - [`VersionedStore`] — a linear snapshot history over one shared
-//!   interner, with memoised pairwise deltas and schema views;
+//!   interner, with memoised pairwise deltas, schema views and
+//!   per-version [`ClassStructure`]s (class graph plus betweenness and
+//!   bridging vectors, each computed once per version);
 //! - [`LowLevelDelta`] — δ⁺/δ⁻ triple sets with apply/invert/compose and
 //!   the per-term restriction δ(n) of the paper's §II(a);
 //! - [`ChangeSet`] / [`Change`] — high-level change detection after
@@ -30,6 +32,7 @@ mod delta;
 mod provenance;
 mod ring;
 mod store;
+mod structure;
 mod timeline;
 mod validate;
 mod version;
@@ -41,6 +44,7 @@ pub use delta::LowLevelDelta;
 pub use provenance::{Justification, ProvenanceLedger, ProvenanceRecord, RecordId};
 pub use ring::{EpochEntry, EpochRing};
 pub use store::VersionedStore;
+pub use structure::ClassStructure;
 pub use timeline::{classify_trend, Timeline, Trend};
 pub use validate::{validate_snapshot, ValidationIssue};
 pub use version::{VersionId, VersionInfo};

@@ -1,20 +1,24 @@
 //! The versioned knowledge-base store.
 
 use crate::delta::LowLevelDelta;
+use crate::structure::ClassStructure;
 use crate::version::{VersionId, VersionInfo};
+use evorec_graph::SchemaGraph;
 use evorec_kb::{FxHashMap, SchemaView, Term, TermId, TermInterner, TripleStore, Vocab};
-use parking_lot::RwLock;
-use std::sync::atomic::{AtomicU64, Ordering};
+use sched::sync::atomic::{AtomicU64, Ordering};
+use sched::sync::RwLock;
 use std::sync::Arc;
 
 /// A linear history of knowledge-base snapshots sharing one interner.
 ///
 /// All versions share a single [`TermInterner`], so [`TermId`]s are stable
 /// across the whole history — deltas, schema views, and measure reports
-/// from different version pairs are directly comparable. Pairwise deltas
-/// and per-version schema views are memoised behind [`RwLock`]s
-/// (`parking_lot`) so repeated measure evaluations of the same evolution
-/// step share the work.
+/// from different version pairs are directly comparable. Pairwise deltas,
+/// per-version schema views and per-version [`ClassStructure`]s are
+/// memoised behind [`RwLock`]s (`sched::sync`, so the race harness can
+/// explore them) and live as long as the store: repeated measure
+/// evaluations of the same evolution step, and every context over a
+/// shared version, share the work.
 pub struct VersionedStore {
     interner: TermInterner,
     vocab: Vocab,
@@ -23,6 +27,7 @@ pub struct VersionedStore {
     clock: u64,
     delta_cache: RwLock<FxHashMap<(VersionId, VersionId), Arc<LowLevelDelta>>>,
     schema_cache: RwLock<FxHashMap<VersionId, Arc<SchemaView>>>,
+    structure_cache: RwLock<FxHashMap<VersionId, Arc<ClassStructure>>>,
     delta_computations: AtomicU64,
 }
 
@@ -45,6 +50,7 @@ impl VersionedStore {
             clock: 0,
             delta_cache: RwLock::new(FxHashMap::default()),
             schema_cache: RwLock::new(FxHashMap::default()),
+            structure_cache: RwLock::new(FxHashMap::default()),
             delta_computations: AtomicU64::new(0),
         }
     }
@@ -214,6 +220,30 @@ impl VersionedStore {
             .write()
             .insert(version, Arc::clone(&computed));
         computed
+    }
+
+    /// The class structure of `version` (memoised): its class graph,
+    /// built from the memoised [`schema_view`](VersionedStore::schema_view),
+    /// and the slots its betweenness and bridging vectors fill on first
+    /// use.
+    ///
+    /// The first slot inserted for a version wins, so callers racing on
+    /// a fresh version all get the same `Arc` and share one Brandes
+    /// run, even if each built a graph while the slot was empty.
+    ///
+    /// # Panics
+    /// Panics if `version` is unknown.
+    pub fn class_structure(&self, version: VersionId) -> Arc<ClassStructure> {
+        if let Some(hit) = self.structure_cache.read().get(&version) {
+            return Arc::clone(hit);
+        }
+        let graph = SchemaGraph::from_schema_view(&self.schema_view(version));
+        let mut cache = self.structure_cache.write();
+        Arc::clone(
+            cache
+                .entry(version)
+                .or_insert_with(|| Arc::new(ClassStructure::new(graph))),
+        )
     }
 
     /// Total triples across all snapshots (storage accounting).
