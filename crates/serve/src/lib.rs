@@ -2,8 +2,9 @@
 //!
 //! Everything below this crate is a library; this is the process
 //! boundary — a hand-rolled, dependency-free HTTP/1.1 server (no
-//! async runtime: a non-blocking acceptor plus a worker pool over a
-//! bounded connection queue) fronting an
+//! async runtime: a blocking acceptor, woken by a loopback connection
+//! at shutdown, plus a worker pool over a bounded connection queue)
+//! fronting an
 //! [`AdaptiveRecommender`](evorec_adapt::AdaptiveRecommender):
 //!
 //! | Route | Verb | Does |

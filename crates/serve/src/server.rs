@@ -1,6 +1,7 @@
-//! The serving edge proper: a non-blocking acceptor, a worker pool
-//! over a [`BoundedQueue`] of connections, and the route table
-//! fronting an [`AdaptiveRecommender`].
+//! The serving edge proper: an acceptor blocked in `accept()` (woken
+//! by one loopback connection at shutdown), a worker pool over a
+//! [`BoundedQueue`] of connections, and the route table fronting an
+//! [`AdaptiveRecommender`].
 //!
 //! Request lifecycle:
 //!
@@ -10,7 +11,8 @@
 //!    backlog).
 //! 2. A worker pops the connection and serves requests off it
 //!    (keep-alive) until the peer hangs up, an error closes it, or
-//!    shutdown begins.
+//!    shutdown begins. A handler panic answers 500, closes that
+//!    connection, and is counted; the worker keeps serving.
 //! 3. Each `/v1/*` POST passes the [`AdmissionController`] (global
 //!    in-flight cap, then the tenant's token bucket, keyed on
 //!    `X-Evorec-Tenant`) before any engine work; rejections carry
@@ -19,11 +21,12 @@
 //!    wired) that parents the engine's own `serve` span, and answers
 //!    with an `X-Evorec-Timing` header.
 //!
-//! Shutdown is a drain, not a drop: the acceptor stops, the queue
-//! closes, workers finish queued and in-flight requests, and the
-//! adapt worker is flushed with [`AdaptiveRecommender::sync`] so
-//! feedback accepted before the stop is applied before the stop
-//! returns.
+//! Shutdown is a drain, not a drop: the acceptor stops (a wake
+//! connection unblocks its `accept()`; it sees the stop flag and
+//! neither counts nor queues that connection), the queue closes,
+//! workers finish queued and in-flight requests, and the adapt worker
+//! is flushed with [`AdaptiveRecommender::sync`] so feedback accepted
+//! before the stop is applied before the stop returns.
 
 use crate::admission::{AdmissionController, AdmissionDecision, AdmissionOptions};
 use crate::http::{ConnReader, ReadError, Request, Response};
@@ -39,7 +42,8 @@ use evorec_telemetry::{HealthStatus, TelemetryCollector};
 use sched::sync::atomic::{AtomicBool, Ordering};
 use sched::sync::{Condvar, Mutex};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -54,9 +58,9 @@ pub struct ServeOptions {
     pub queue_capacity: usize,
     /// Admission limits.
     pub admission: AdmissionOptions,
-    /// Socket read timeout — also the poll cadence for idle
-    /// keep-alive connections and the acceptor's park interval, so it
-    /// bounds shutdown latency.
+    /// Workers' socket read timeout — also the poll cadence at which
+    /// an idle keep-alive connection notices shutdown, so it bounds
+    /// drain latency.
     pub read_timeout: Duration,
     /// Time source for latencies, timing headers, and token buckets.
     /// `None` = a fresh [`MonotonicClock`].
@@ -108,17 +112,15 @@ impl EdgeCore {
         self.wake.notify_all();
     }
 
-    /// Park the acceptor between accept attempts; wakes immediately
-    /// on [`begin_stop`](EdgeCore::begin_stop). (The no-`thread::sleep`
-    /// rule is not a technicality here: a sleeping acceptor would add
-    /// its whole sleep to shutdown latency.) The park is capped well
-    /// below `read_timeout` — it is also the accept latency a fresh
-    /// connection pays when the listener is idle.
+    /// Back off after a failed `accept()` (its only caller), so
+    /// descriptor exhaustion (EMFILE) cannot spin a core; wakes
+    /// immediately on [`begin_stop`](EdgeCore::begin_stop). (The
+    /// no-`thread::sleep` rule is not a technicality here: a sleeping
+    /// acceptor would add its whole sleep to shutdown latency.)
     fn park(&self) {
-        let pause = self.read_timeout.min(Duration::from_millis(2));
         let guard = self.stop.lock();
         if !*guard {
-            let _ = self.wake.wait_timeout(guard, pause);
+            let _ = self.wake.wait_timeout(guard, Duration::from_millis(2));
         }
     }
 }
@@ -142,7 +144,6 @@ impl HttpServer {
         options: ServeOptions,
     ) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(&options.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let clock: Arc<dyn Clock> = match options.clock {
             Some(c) => c,
@@ -202,6 +203,9 @@ impl HttpServer {
     fn shutdown_inner(&mut self) {
         self.core.begin_stop();
         if let Some(acceptor) = self.acceptor.take() {
+            // The acceptor is blocked in accept(): one connection wakes
+            // it, it sees the stop flag, and it drops that connection.
+            let _ = TcpStream::connect_timeout(&wake_addr(self.addr), Duration::from_secs(1));
             let _ = acceptor.join();
         }
         self.core.queue.close();
@@ -219,17 +223,29 @@ impl Drop for HttpServer {
     }
 }
 
+/// Where shutdown dials to wake the acceptor: the bound address, or
+/// the same family's loopback when bound to the unspecified address.
+fn wake_addr(bound: SocketAddr) -> SocketAddr {
+    let ip = match bound.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, bound.port())
+}
+
 fn accept_loop(core: &EdgeCore, listener: TcpListener) {
     loop {
+        let accepted = listener.accept();
+        // Checked before anything is counted or queued: after the stop,
+        // accept() returned shutdown's wake connection (or a client too
+        // late for the drain, closed unserved).
         if core.is_stopping() {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 core.stats.connection_accepted();
-                // Accepted sockets must not inherit the listener's
-                // non-blocking mode: workers use timeout reads.
-                let _ = stream.set_nonblocking(false);
                 let _ = stream.set_read_timeout(Some(core.read_timeout));
                 let _ = stream.set_nodelay(true);
                 match core.queue.try_push(stream) {
@@ -241,7 +257,6 @@ fn accept_loop(core: &EdgeCore, listener: TcpListener) {
                     Err(QueueRejected::Closed(_)) => break,
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => core.park(),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => core.park(),
         }
@@ -274,7 +289,13 @@ fn serve_connection(core: &EdgeCore, stream: &mut TcpStream) {
         match reader.read_request(stream) {
             Ok(req) => {
                 let keep = req.keep_alive() && !core.is_stopping();
-                let resp = respond(core, &req);
+                // A panicking handler costs its connection, not the
+                // worker: the pool never shrinks.
+                let Ok(resp) = catch_unwind(AssertUnwindSafe(|| respond(core, &req))) else {
+                    core.stats.handler_panicked();
+                    answer_and_close(core, stream, 500, "internal error");
+                    break;
+                };
                 if resp.write_to(stream, keep).is_err() || !keep {
                     break;
                 }
@@ -286,23 +307,23 @@ fn serve_connection(core: &EdgeCore, stream: &mut TcpStream) {
                 }
             }
             Err(ReadError::Stalled) => {
-                answer_read_error(core, stream, 408, "request timed out");
+                answer_and_close(core, stream, 408, "request timed out");
                 break;
             }
             Err(ReadError::TooLarge(what)) => {
                 let status = if what == "request body" { 413 } else { 431 };
-                answer_read_error(core, stream, status, what);
+                answer_and_close(core, stream, status, what);
                 break;
             }
             Err(ReadError::Malformed(what)) => {
-                answer_read_error(core, stream, 400, what);
+                answer_and_close(core, stream, 400, what);
                 break;
             }
         }
     }
 }
 
-fn answer_read_error(core: &EdgeCore, stream: &mut TcpStream, status: u16, message: &str) {
+fn answer_and_close(core: &EdgeCore, stream: &mut TcpStream, status: u16, message: &str) {
     let _ = Response::error(status, message).write_to(stream, false);
     core.stats.record(Endpoint::Other, status, 0);
 }

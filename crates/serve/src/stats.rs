@@ -2,10 +2,10 @@
 //!
 //! One fixed-shape table of atomics and histograms: request counts by
 //! (endpoint, status class), per-endpoint latency summaries, admission
-//! rejection counters, connection tallies, and live gauges for queue
-//! depth and in-flight requests. Pull-model like every other source in
-//! the workspace: `collect` reads the atomics at snapshot time, so the
-//! request path never touches the registry.
+//! rejection counters, connection and handler-panic tallies, and live
+//! gauges for queue depth and in-flight requests. Pull-model like every
+//! other source in the workspace: `collect` reads the atomics at
+//! snapshot time, so the request path never touches the registry.
 
 use crate::admission::AdmissionController;
 use evorec_obs::{push_summary, Histogram, MetricsSource, Sample};
@@ -94,6 +94,7 @@ pub struct ServerStats {
     queue_depth: AtomicU64,
     queue_capacity: u64,
     drained_on_shutdown: AtomicU64,
+    handler_panics: AtomicU64,
     admission: Arc<AdmissionController>,
 }
 
@@ -109,6 +110,7 @@ impl ServerStats {
             queue_depth: AtomicU64::new(0),
             queue_capacity: queue_capacity as u64,
             drained_on_shutdown: AtomicU64::new(0),
+            handler_panics: AtomicU64::new(0),
             admission,
         }
     }
@@ -145,6 +147,12 @@ impl ServerStats {
     /// guarantee, made countable).
     pub fn drained_on_shutdown(&self) {
         self.drained_on_shutdown.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// One request whose handler panicked (answered 500; the worker
+    /// survived).
+    pub fn handler_panicked(&self) {
+        self.handler_panics.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total requests recorded for `endpoint` with the given status
@@ -219,6 +227,10 @@ impl MetricsSource for ServerStats {
             "evorec_serve_drained_total",
             self.drained_on_shutdown.load(Ordering::Relaxed),
         ));
+        out.push(Sample::counter(
+            "evorec_serve_handler_panics_total",
+            self.handler_panics.load(Ordering::Relaxed),
+        ));
     }
 }
 
@@ -253,6 +265,7 @@ mod tests {
         s.record(Endpoint::Bulk, 200, 5_000);
         s.set_queue_depth(3);
         s.connection_accepted();
+        s.handler_panicked();
         let reg = MetricsRegistry::new();
         reg.register_source(s);
         let text = reg.snapshot().render_prometheus();
@@ -262,6 +275,7 @@ mod tests {
         assert!(text.contains("evorec_serve_request_nanos_count{endpoint=\"bulk\"} 1"));
         assert!(text.contains("evorec_serve_queue_depth 3"));
         assert!(text.contains("evorec_serve_connections_total 1"));
+        assert!(text.contains("evorec_serve_handler_panics_total 1"));
         assert!(text
             .contains("evorec_serve_admission_rejections_total{reason=\"queue\"} 0"));
     }

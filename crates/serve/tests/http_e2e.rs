@@ -21,8 +21,9 @@ use evorec_windows::{
     WindowDef, WindowManager, WindowManagerOptions, WindowSpec, WindowedRecommender,
 };
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::net::{Ipv4Addr, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 const CADENCE: u64 = 1_000;
@@ -591,4 +592,111 @@ fn graceful_shutdown_drains_and_flushes_feedback() {
     // The port no longer accepts new work.
     let refused = TcpStream::connect_timeout(&addr, Duration::from_millis(500));
     assert!(refused.is_err(), "listener must be gone after shutdown");
+}
+
+/// Stop `server` on a helper thread: an acceptor that never wakes
+/// fails the test instead of hanging it.
+fn shutdown_within(server: HttpServer, limit: Duration) {
+    let (done, finished) = mpsc::sync_channel(1);
+    let stopper = std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done.send(());
+    });
+    finished.recv_timeout(limit).expect("shutdown returns");
+    stopper.join().expect("shutdown thread exits cleanly");
+}
+
+/// `evorec_serve_connections_total` as the stack's registry reads it.
+fn connections_total(stack: &Stack) -> u64 {
+    stack
+        .metrics
+        .snapshot()
+        .render_prometheus()
+        .lines()
+        .find_map(|l| l.strip_prefix("evorec_serve_connections_total "))
+        .and_then(|n| n.parse().ok())
+        .expect("connections series")
+}
+
+#[test]
+fn shutdown_wake_connection_is_never_counted() {
+    let mut stack = stack(|_| {});
+    const N: u64 = 3;
+    for _ in 0..N {
+        assert_eq!(call(stack.addr(), "GET", "/health", &[], "").status, 200);
+    }
+    let server = stack.server.take().expect("running");
+    shutdown_within(server, Duration::from_secs(10));
+    assert_eq!(connections_total(&stack), N);
+}
+
+#[test]
+fn unspecified_bind_address_is_woken_over_loopback() {
+    let mut stack = stack(|o| o.addr = "0.0.0.0:0".to_string());
+    let bound = stack.addr();
+    assert!(bound.ip().is_unspecified());
+    let loopback = SocketAddr::from((Ipv4Addr::LOCALHOST, bound.port()));
+    assert_eq!(call(loopback, "GET", "/health", &[], "").status, 200);
+    let server = stack.server.take().expect("running");
+    shutdown_within(server, Duration::from_secs(10));
+    assert_eq!(connections_total(&stack), 1);
+}
+
+#[test]
+fn idle_server_shuts_down() {
+    let mut stack = stack(|_| {});
+    let server = stack.server.take().expect("running");
+    shutdown_within(server, Duration::from_secs(10));
+    assert_eq!(connections_total(&stack), 0);
+}
+
+/// A server clock that panics on the first reading after
+/// [`arm`](FaultClock::arm) — `respond`'s opening clock read — and
+/// behaves as a [`LogicalClock`] otherwise.
+#[derive(Default)]
+struct FaultClock {
+    inner: LogicalClock,
+    armed: AtomicBool,
+}
+
+impl FaultClock {
+    fn arm(&self) {
+        self.armed.store(true, Ordering::SeqCst);
+    }
+}
+
+impl Clock for FaultClock {
+    fn now_nanos(&self) -> u64 {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            panic!("injected handler fault");
+        }
+        self.inner.now_nanos()
+    }
+}
+
+#[test]
+fn handler_panic_answers_500_and_keeps_the_worker() {
+    let clock = Arc::new(FaultClock::default());
+    let server_clock = Arc::clone(&clock);
+    let stack = stack(move |o| {
+        o.workers = 1;
+        o.clock = Some(server_clock);
+    });
+    let user = stack.world.population.profiles[0].id;
+    let body = format!(r#"{{"user": {}, "window": "all"}}"#, user.0);
+    clock.arm();
+    let failed = call(stack.addr(), "POST", "/v1/recommend", &[], &body);
+    assert_eq!(failed.status, 500, "body: {}", failed.body);
+    assert_eq!(failed.header("connection"), Some("close"));
+    // The pool's only worker survived: a fresh connection is served
+    // (`call`'s read timeout turns a dead pool into a failure).
+    let served = call(stack.addr(), "POST", "/v1/recommend", &[], &body);
+    assert_eq!(served.status, 200, "body: {}", served.body);
+    let metrics = call(stack.addr(), "GET", "/metrics", &[], "").body;
+    for series in [
+        "evorec_serve_handler_panics_total 1",
+        "evorec_serve_requests_total{class=\"5xx\",endpoint=\"other\"} 1",
+    ] {
+        assert!(metrics.contains(series), "missing {series} in:\n{metrics}");
+    }
 }

@@ -1,8 +1,13 @@
 //! # evorec-synth — synthetic workload generation
 //!
 //! Deterministic stand-ins for the evolving knowledge bases (DBpedia,
-//! Freebase, YAGO) and human populations the paper motivates with; see
-//! DESIGN.md §2 for the substitution argument. Provides:
+//! Freebase, YAGO) and human populations the paper motivates with. The
+//! substitution holds because measures and recommenders read only the
+//! knowledge base's shape (class hierarchy, typed properties, instance
+//! extents) and the deltas between versions, never what a term means;
+//! a seeded generator reproducing those shapes (scale-free hierarchies,
+//! Zipf-skewed extents, planted change) exercises the same code with
+//! known ground truth. Provides:
 //!
 //! - [`GeneratedKb`] / [`SchemaConfig`] — preferential-attachment class
 //!   trees, domain/range-typed properties, Zipf-skewed instance extents;

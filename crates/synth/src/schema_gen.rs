@@ -1,7 +1,9 @@
 //! Synthetic knowledge-base generation.
 //!
 //! Stands in for the DBpedia/Freebase/YAGO dumps the paper motivates
-//! with (see DESIGN.md §2 for the substitution argument): a subclass
+//! with (measures read only the knowledge base's shape and its deltas,
+//! never what a term means, so a generator reproducing that shape is a
+//! faithful substitute with known ground truth): a subclass
 //! *tree* grown by preferential attachment (scale-free-ish degrees, like
 //! real ontologies), cross-hierarchy object properties with declared
 //! domains/ranges, Zipf-skewed instance extents, and instance-level
